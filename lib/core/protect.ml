@@ -13,9 +13,10 @@
    Invalidation is deliberately wholesale: any tree mutation can change
    any entry's optimum (a new member anywhere adds merge targets), so
    mutations bump a version counter in O(1) and entries refresh lazily on
-   lookup — or eagerly via [prepare], which is what {!Session} runs after
-   each repair so that the next failure hits only fresh entries.  A lookup
-   against a fresh entry allocates nothing until the path is decoded. *)
+   lookup, or eagerly via [prepare].  {!Session} only ever looks entries
+   up on its first failure, so it never prepares: it pays one branch
+   search per entry its repair actually reads.  A lookup against a fresh
+   entry allocates nothing until the path is decoded. *)
 
 module Graph = Smrp_graph.Graph
 module Dijkstra = Smrp_graph.Dijkstra
@@ -93,7 +94,12 @@ let create tree =
     recomputes = 0;
   }
 
-let invalidate t = t.version <- t.version + 1
+(* After a version bump every entry is stale and [decode] only runs right
+   after a refresh rewrote its entry, so the arenas can be reused from the
+   start; otherwise lazy refreshes would grow them without bound. *)
+let invalidate t =
+  t.version <- t.version + 1;
+  t.arena_used <- 0
 
 let retarget t tree =
   t.tree <- tree;
@@ -107,7 +113,7 @@ let refresh_euler t =
   if t.euler_version <> t.version then begin
     Array.fill t.tin 0 t.n (-1);
     let clock = ref 0 in
-    (* Iterative DFS over the tree's child lists. *)
+    (* Recursive DFS over the tree's child lists (depth = tree depth). *)
     let rec enter v =
       t.tin.(v) <- !clock;
       incr clock;

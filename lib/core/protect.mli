@@ -12,10 +12,12 @@
 
     {b Invalidation} is wholesale and O(1): any tree mutation can improve
     any entry's optimum (a membership change anywhere adds or removes
-    merge targets), so {!invalidate} just bumps a version counter.  Stale
+    merge targets), so {!invalidate} just bumps a version counter (and
+    rewinds the path arenas, whose contents are then all stale).  Stale
     entries refresh lazily on lookup; {!prepare} refreshes every tree-edge
-    entry eagerly — {!Session} runs it after each repair so the next
-    failure hits only fresh entries. *)
+    entry eagerly.  {!Session} never prepares: its tables serve only a
+    session's first failure, so it refreshes exactly the entries that
+    failure looks up. *)
 
 type t
 
@@ -33,7 +35,9 @@ val create : Tree.t -> t
 (** No entries are built until first use ({!prepare} or a lookup). *)
 
 val invalidate : t -> unit
-(** O(1); call after any mutation of the protected tree. *)
+(** O(1); call after any mutation of the protected tree.  Entries decoded
+    earlier stay valid (they are copies); entries are re-read only after a
+    refresh. *)
 
 val retarget : t -> Tree.t -> unit
 (** Point the table at a replacement tree (repair rebuilds swap the tree

@@ -28,15 +28,17 @@ let local_detour ?ws t f ~member =
     let surviving = Failure.tree_connected t f in
     if surviving.(member) then Some (trivial t member)
     else begin
+      let target v = surviving.(v) in
       let result =
         Dijkstra.run
           ~node_ok:(Failure.node_ok f)
           ~edge_ok:(Failure.edge_ok g f)
-          ~absorb:(fun v -> surviving.(v))
-          ?workspace:ws g ~source:member
+          ~absorb:target ~stop:target ?workspace:ws g ~source:member
       in
       (* Descending scan with non-strict replacement: ties on distance end
-         at the smallest node id, keeping recovery deterministic. *)
+         at the smallest node id, keeping recovery deterministic.  The
+         search stopped at the nearest surviving node; every node it left
+         unsettled reads farther, so the winner is a full search's. *)
       let best = ref None in
       for v = Graph.node_count g - 1 downto 0 do
         if surviving.(v) && Dijkstra.reachable result v then begin
@@ -80,8 +82,8 @@ let branch_detour ?ws t f ~root ~eligible =
     in
     let absorb v = v <> root && eligible v in
     let result =
-      Dijkstra.run ~node_ok ~edge_ok:(Failure.edge_ok g f) ~absorb ?workspace:ws g
-        ~source:root
+      Dijkstra.run ~node_ok ~edge_ok:(Failure.edge_ok g f) ~absorb ~stop:absorb ?workspace:ws
+        g ~source:root
     in
     (* Same descending non-strict scan as [local_detour]: deterministic
        smallest-id winner on recovery-distance ties. *)

@@ -1,4 +1,5 @@
 module Graph = Smrp_graph.Graph
+module Dijkstra = Smrp_graph.Dijkstra
 module Dspf = Smrp_graph.Dspf
 
 type protocol = Spf | Smrp of { d_thresh : float } | Smrp_query of { d_thresh : float }
@@ -24,6 +25,9 @@ type t = {
      join distances ([spf]); both [None] when protection is off. *)
   protection : Protect.t option;
   spf : Dspf.t option;
+  (* Scratch for every join and search-repair Dijkstra, sized to the graph
+     once; it makes the session domain-private. *)
+  ws : Dijkstra.workspace;
 }
 
 let create ?(protection = false) graph ~source ~protocol =
@@ -36,6 +40,7 @@ let create ?(protection = false) graph ~source ~protocol =
     events = [];
     protection = (if protection then Some (Protect.create tree) else None);
     spf = (if protection then Some (Dspf.create graph ~source) else None);
+    ws = Dijkstra.workspace ~capacity:(Graph.node_count graph) ();
   }
 
 let active_failure t =
@@ -67,14 +72,14 @@ let join t nr =
     | _ -> None
   in
   (match t.protocol with
-  | Spf -> Spf.join ?failure t.tree nr
-  | Smrp { d_thresh } -> Smrp.join ~d_thresh ?failure ?spf_dist t.tree nr
+  | Spf -> Spf.join ?failure ~ws:t.ws t.tree nr
+  | Smrp { d_thresh } -> Smrp.join ~d_thresh ?failure ~ws:t.ws ?spf_dist t.tree nr
   | Smrp_query { d_thresh } ->
       (* The query scheme has no failure-aware variant; under active
          failures fall back to the failure-aware SMRP selection. *)
       (match failure with
-      | None -> Query.join ~d_thresh t.tree nr
-      | Some _ -> Smrp.join ~d_thresh ?failure ?spf_dist t.tree nr));
+      | None -> Query.join ~d_thresh ~ws:t.ws t.tree nr
+      | Some _ -> Smrp.join ~d_thresh ?failure ~ws:t.ws ?spf_dist t.tree nr));
   invalidate_protection t;
   log t (Joined nr)
 
@@ -87,7 +92,7 @@ let reshape_all t =
   match t.protocol with
   | Spf -> 0
   | Smrp { d_thresh } | Smrp_query { d_thresh } ->
-      let stats = Reshape.stabilize ~d_thresh ?failure:(active_failure t) t.tree in
+      let stats = Reshape.stabilize ~d_thresh ?failure:(active_failure t) ~ws:t.ws t.tree in
       if stats.Reshape.switches > 0 then begin
         invalidate_protection t;
         log t (Reshaped { node = Tree.source t.tree; switches = stats.Reshape.switches })
@@ -214,12 +219,10 @@ let try_protected t p f =
       | Failure.Multi _ -> None)
   | _ -> None
 
-let refresh_protection t =
-  match t.protection with
-  | Some p ->
-      Protect.retarget p t.tree;
-      Protect.prepare p
-  | None -> ()
+(* Point the tables at the repaired tree without refreshing any entry: the
+   fast path serves only a session's first failure, so no lookup can follow
+   a repair. *)
+let retarget_protection t = Option.iter (fun p -> Protect.retarget p t.tree) t.protection
 
 let fail t f =
   log t (Failed f);
@@ -237,7 +240,7 @@ let fail t f =
       List.iter (fun m -> log t (Lost m)) dead;
       List.iter (fun r -> log t (Repaired r)) repairs;
       t.tree <- fresh;
-      refresh_protection t;
+      retarget_protection t;
       repairs
   | None ->
       let f = f_all in
@@ -251,8 +254,8 @@ let fail t f =
       let rec repair pending repairs =
         let detour_of m =
           match strategy with
-          | `Local -> Recovery.local_detour fresh f ~member:m
-          | `Global -> Recovery.global_detour fresh f ~member:m
+          | `Local -> Recovery.local_detour ~ws:t.ws fresh f ~member:m
+          | `Global -> Recovery.global_detour ~ws:t.ws fresh f ~member:m
         in
         let options =
           List.filter_map (fun m -> Option.map (fun d -> (m, d)) (detour_of m)) pending
@@ -283,5 +286,5 @@ let fail t f =
       List.iter (fun m -> log t (Lost m)) dead;
       let repairs = repair affected [] in
       t.tree <- fresh;
-      refresh_protection t;
+      retarget_protection t;
       repairs

@@ -28,16 +28,24 @@ type t
 
 val create : ?protection:bool -> Smrp_graph.Graph.t -> source:int -> protocol:protocol -> t
 (** [~protection:true] (default false) arms the precomputed-protection
-    layer: the session maintains {!Protect} branch-detour tables (refreshed
-    after every repair, invalidated in O(1) by membership churn) and an
+    layer: the session keeps {!Protect} branch-detour tables and an
     incremental source SPF ({!Smrp_graph.Dspf}) that replaces the per-join
-    unicast distance search.  Under SMRP protocols, a single link or
-    non-source node failure is then repaired by table lookup — each
-    orphaned branch re-attaches wholesale along its precomputed detour
-    (logged as one [`Protected] repair per branch) — with automatic
-    fallback to the staged search repair whenever the failure shape or a
-    stale precondition rules the tables out.  SPF-protocol sessions accept
-    the flag but always use the search path. *)
+    unicast distance search.  Under SMRP protocols, a session's {e first}
+    failure, when it is a single link or non-source node, is repaired by
+    table lookup — each orphaned branch re-attaches wholesale along its
+    precomputed detour (logged as one [`Protected] repair per branch) —
+    with automatic fallback to the staged search repair whenever the
+    failure shape or a stale precondition rules the tables out.  Failures
+    are persistent, so every later failure meets an earlier one still
+    active and takes the search repair; the tables therefore serve only
+    the first failure.  Membership churn invalidates them in O(1), and
+    entries refresh lazily when that failure looks them up: no table work
+    is done ahead of time or after a repair.  SPF-protocol sessions accept
+    the flag but always use the search path.
+
+    The session owns one {!Smrp_graph.Dijkstra.workspace} sized to the
+    graph, shared by its joins, reshaping and search repairs, so a
+    session is domain-private: drive it from one domain at a time. *)
 
 val protection_enabled : t -> bool
 

@@ -81,16 +81,18 @@ let candidates ?exclude ?failure ?ws t ~joiner =
 
 let spf_distance ?failure ?ws t v =
   let g = Tree.graph t in
+  let source = Tree.source t in
+  let stop u = u = source in
   let r =
     match failure with
-    | None -> Dijkstra.run ?workspace:ws g ~source:v
+    | None -> Dijkstra.run ~stop ?workspace:ws g ~source:v
     | Some f ->
         Dijkstra.run
           ~node_ok:(fun v -> Failure.node_ok f v)
           ~edge_ok:(fun e -> Failure.edge_ok g f e)
-          ?workspace:ws g ~source:v
+          ~stop ?workspace:ws g ~source:v
   in
-  Dijkstra.distance r (Tree.source t)
+  Dijkstra.distance r source
 
 let bound_epsilon = 1e-9
 

@@ -75,8 +75,13 @@ let check_fresh r =
   if r.epoch <> r.ws.epoch then
     invalid_arg "Dijkstra: result invalidated by a later run on the same workspace"
 
-let run ?node_ok ?edge_ok ?absorb ?dist_bound ?workspace:ws g ~source =
-  let dist_bound = match dist_bound with Some b -> b | None -> infinity in
+let run ?node_ok ?edge_ok ?absorb ?dist_bound ?stop ?workspace:ws g ~source =
+  (* The running bound: [dist_bound], lowered to the distance of the first
+     settled [stop] target.  No closure captures the ref, so the float
+     stays unboxed. *)
+  let bound = ref (match dist_bound with Some b -> b | None -> infinity) in
+  let stopping = Option.is_some stop in
+  let is_target = match stop with Some f -> f | None -> never in
   let n = Graph.node_count g in
   if source < 0 || source >= n then invalid_arg "Dijkstra.run: source out of range";
   (match node_ok with
@@ -159,10 +164,14 @@ let run ?node_ok ?edge_ok ?absorb ?dist_bound ?workspace:ws g ~source =
         Int_heap.drop heap;
         if Array.unsafe_get settled u <> epoch then begin
           (* Pops come in nondecreasing distance order: once one exceeds
-             [dist_bound], no unsettled node can be within it. *)
-          if Array.unsafe_get dist u > dist_bound then Int_heap.clear heap
+             the bound, no unsettled node can be within it.  A [stop]
+             target lowers the bound to its own distance, so every node
+             tied with it still settles: the settled prefix is exactly a
+             full run's. *)
+          if Array.unsafe_get dist u > !bound then Int_heap.clear heap
           else begin
             Array.unsafe_set settled u epoch;
+            if stopping && u <> source && is_target u then bound := Array.unsafe_get dist u;
             relax u
           end
         end
@@ -174,9 +183,10 @@ let run ?node_ok ?edge_ok ?absorb ?dist_bound ?workspace:ws g ~source =
         let u = Int_heap.top heap in
         Int_heap.drop heap;
         if Array.unsafe_get settled u <> epoch then begin
-          if Array.unsafe_get dist u > dist_bound then Int_heap.clear heap
+          if Array.unsafe_get dist u > !bound then Int_heap.clear heap
           else begin
             Array.unsafe_set settled u epoch;
+            if stopping && u <> source && is_target u then bound := Array.unsafe_get dist u;
             if u = source || not (absorb u) then relax u
           end
         end
@@ -229,9 +239,10 @@ let run ?node_ok ?edge_ok ?absorb ?dist_bound ?workspace:ws g ~source =
         let u = Int_heap.top heap in
         Int_heap.drop heap;
         if Array.unsafe_get settled u <> epoch then begin
-          if Array.unsafe_get dist u > dist_bound then Int_heap.clear heap
+          if Array.unsafe_get dist u > !bound then Int_heap.clear heap
           else begin
             Array.unsafe_set settled u epoch;
+            if stopping && u <> source && is_target u then bound := Array.unsafe_get dist u;
             if u = source || not (absorb u) then relax_ok u
           end
         end
@@ -243,9 +254,10 @@ let run ?node_ok ?edge_ok ?absorb ?dist_bound ?workspace:ws g ~source =
       while not (Int_heap.is_empty heap) do
         let u = Int_heap.top heap in
         Int_heap.drop heap;
-        if settled.(u) <> epoch && dist.(u) > dist_bound then Int_heap.clear heap
+        if settled.(u) <> epoch && dist.(u) > !bound then Int_heap.clear heap
         else if settled.(u) <> epoch then begin
           settled.(u) <- epoch;
+          if stopping && u <> source && is_target u then bound := dist.(u);
           (* An absorbing node terminates the search along its branch: it
              can be a shortest-path target but contributes no further
              relaxation. *)
@@ -368,7 +380,7 @@ let path_nodes r v = Option.map fst (path_rev r v)
 let path_edges r v = Option.map snd (path_rev r v)
 
 let shortest_path ?node_ok ?edge_ok ?workspace g ~src ~dst =
-  let r = run ?node_ok ?edge_ok ?workspace g ~source:src in
+  let r = run ?node_ok ?edge_ok ~stop:(fun v -> v = dst) ?workspace g ~source:src in
   match path_rev r dst with
   | None -> None
   | Some (nodes, edges) -> Some (r.ws.dist.(dst), nodes, edges)

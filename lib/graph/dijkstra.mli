@@ -43,6 +43,7 @@ val run :
   ?edge_ok:(int -> bool) ->
   ?absorb:(int -> bool) ->
   ?dist_bound:float ->
+  ?stop:(int -> bool) ->
   ?workspace:workspace ->
   Graph.t ->
   source:int ->
@@ -57,7 +58,17 @@ val run :
     [<= dist_bound] is still settled with its exact distance and path;
     beyond the bound a node may read as unreachable or report a tentative
     (over-estimated) distance, so callers must ignore results past the
-    bound. *)
+    bound.
+
+    [stop] is a nearest-target stop: once a node other than the source
+    with [stop v = true] settles at distance [d], the bound drops to [d],
+    so settling ends after every node at distance [<= d].  The
+    settled prefix is the same execution as a full run — every node at
+    distance [<= d] has the full run's distance, parent and parent edge —
+    and any node left visited but unsettled reads a distance [> d].  A scan
+    for the minimum-distance target (ties to any fixed order) therefore
+    picks the same winner as over a full run.  [stop] is called once per
+    settled node, never per edge. *)
 
 val run_reference :
   ?node_ok:(int -> bool) ->
@@ -101,4 +112,6 @@ val shortest_path :
   src:int ->
   dst:int ->
   (float * int list * int list) option
-(** [(delay, nodes, edge ids)] of one shortest [src]→[dst] path. *)
+(** [(delay, nodes, edge ids)] of one shortest [src]→[dst] path — the
+    path a full {!run} would report.  The search stops at [dst] ([~stop]),
+    so it costs only the ball around [src] of radius [dst]'s distance. *)

@@ -381,6 +381,218 @@ let qcheck_bridge_removal_disconnects =
           if List.mem e.Graph.id bridges then not still else still)
         true g)
 
+(* -- Nearest-target early stop ----------------------------------------- *)
+
+module Rng = Smrp_rng.Rng
+module Tree = Smrp_core.Tree
+module Failure = Smrp_core.Failure
+module Recovery = Smrp_core.Recovery
+module Smrp = Smrp_core.Smrp
+
+(* Connected random graph with delays in {1, 2, 3}: plenty of equal-distance
+   ties, so tie-breaks are exercised, not just distances. *)
+let tie_graph rng n extra =
+  let g = Graph.create n in
+  for v = 1 to n - 1 do
+    ignore (Graph.add_edge g (Rng.int rng v) v (float_of_int (1 + Rng.int rng 3)))
+  done;
+  for _ = 1 to extra do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    if u <> v && not (Graph.mem_edge g u v) then
+      ignore (Graph.add_edge g u v (float_of_int (1 + Rng.int rng 3)))
+  done;
+  g
+
+(* [run ~stop] against [run_reference] without a stop.  With [d] the
+   reference distance of the nearest target other than the source: every
+   node at distance <= d has the reference's distance, parent and path
+   (hence parent edge), and every other node reads unreachable or farther
+   than [d].  The filter shape picks each of [run]'s four search loops. *)
+let early_stop_matches_reference =
+  QCheck.Test.make ~name:"run ~stop settles exactly a full run's prefix" ~count:400
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create (seed + 1) in
+      let n = 2 + Rng.int rng 40 in
+      let g = tie_graph rng n (Rng.int rng (2 * n)) in
+      let source = Rng.int rng n in
+      let blocked = Array.init n (fun v -> v <> source && Rng.int rng 8 = 0) in
+      let eblocked = Array.init (Graph.edge_count g) (fun _ -> Rng.int rng 8 = 0) in
+      let absorbed = Array.init n (fun _ -> Rng.int rng 5 = 0) in
+      let targets =
+        match Rng.int rng 4 with
+        | 0 -> absorbed
+        | 1 -> Array.init n (fun v -> v = Rng.int rng n) (* about one target *)
+        | 2 -> Array.make n false (* never fires: a full run *)
+        | _ -> Array.init n (fun v -> v = source || Rng.int rng 6 = 0)
+      in
+      let node_ok v = not blocked.(v)
+      and edge_ok e = not eblocked.(e)
+      and absorb v = absorbed.(v)
+      and stop v = targets.(v) in
+      let ws = Dijkstra.workspace () in
+      ignore (Dijkstra.run ~workspace:ws g ~source:((source + 1) mod n));
+      let r, oracle =
+        match Rng.int rng 5 with
+        | 0 -> (Dijkstra.run ~stop ~workspace:ws g ~source, Dijkstra.run_reference g ~source)
+        | 1 ->
+            ( Dijkstra.run ~absorb ~stop ~workspace:ws g ~source,
+              Dijkstra.run_reference ~absorb g ~source )
+        | 2 ->
+            ( Dijkstra.run ~node_ok ~absorb ~stop ~workspace:ws g ~source,
+              Dijkstra.run_reference ~node_ok ~absorb g ~source )
+        | 3 ->
+            ( Dijkstra.run ~node_ok ~edge_ok ~absorb ~stop ~workspace:ws g ~source,
+              Dijkstra.run_reference ~node_ok ~edge_ok ~absorb g ~source )
+        | _ ->
+            ( Dijkstra.run ~edge_ok ~stop ~workspace:ws g ~source,
+              Dijkstra.run_reference ~edge_ok g ~source )
+      in
+      let d = ref infinity in
+      for v = 0 to n - 1 do
+        match Dijkstra.distance oracle v with
+        | Some dv when v <> source && targets.(v) && dv < !d -> d := dv
+        | _ -> ()
+      done;
+      List.for_all
+        (fun v ->
+          match Dijkstra.distance oracle v with
+          | Some dv when dv <= !d ->
+              Dijkstra.distance r v = Some dv
+              && Dijkstra.parent r v = Dijkstra.parent oracle v
+              && Dijkstra.path_nodes r v = Dijkstra.path_nodes oracle v
+              && Dijkstra.path_edges r v = Dijkstra.path_edges oracle v
+          | _ -> ( match Dijkstra.distance r v with None -> true | Some dv -> dv > !d))
+        (List.init n Fun.id))
+
+(* The detour searches as they were before the early stop: full reference
+   searches and the same descending scans, kept here as the oracle. *)
+let reference_nearest g result ~target =
+  let best = ref None in
+  for v = Graph.node_count g - 1 downto 0 do
+    if target v then
+      match (Dijkstra.distance result v, !best) with
+      | Some d, Some (bd, _) when bd < d -> ()
+      | Some d, _ -> best := Some (d, v)
+      | None, _ -> ()
+  done;
+  Option.map
+    (fun (d, merge) ->
+      (d, merge, Option.get (Dijkstra.path_nodes result merge), Option.get (Dijkstra.path_edges result merge)))
+    !best
+
+let detour_of t ~member (d, merge, path_nodes, path_edges) =
+  {
+    Recovery.member;
+    merge;
+    path_nodes;
+    path_edges;
+    recovery_distance = d;
+    new_total_delay = d +. Tree.delay_to_source t merge;
+  }
+
+let reference_local_detour t f ~member =
+  let g = Tree.graph t in
+  let surviving = Failure.tree_connected t f in
+  if not (Failure.node_ok f member) then None
+  else if surviving.(member) then
+    Some (detour_of t ~member (0.0, member, [ member ], []))
+  else
+    let r =
+      Dijkstra.run_reference ~node_ok:(Failure.node_ok f) ~edge_ok:(Failure.edge_ok g f)
+        ~absorb:(fun v -> surviving.(v))
+        g ~source:member
+    in
+    Option.map (detour_of t ~member) (reference_nearest g r ~target:(fun v -> surviving.(v)))
+
+let reference_branch_detour t f ~root ~eligible =
+  let g = Tree.graph t in
+  if not (Failure.node_ok f root) then None
+  else
+    let node_ok v =
+      Failure.node_ok f v && (v = root || (not (Tree.is_on_tree t v)) || eligible v)
+    in
+    let target v = v <> root && eligible v in
+    let r = Dijkstra.run_reference ~node_ok ~edge_ok:(Failure.edge_ok g f) ~absorb:target g ~source:root in
+    Option.map (detour_of t ~member:root) (reference_nearest g r ~target)
+
+let reference_global_detour t f ~member =
+  let g = Tree.graph t in
+  let surviving = Failure.tree_connected t f in
+  if not (Failure.node_ok f member) then None
+  else if surviving.(member) then
+    Some (detour_of t ~member (0.0, member, [ member ], []))
+  else
+    let r =
+      Dijkstra.run_reference ~node_ok:(Failure.node_ok f) ~edge_ok:(Failure.edge_ok g f) g
+        ~source:member
+    in
+    match (Dijkstra.path_nodes r (Tree.source t), Dijkstra.path_edges r (Tree.source t)) with
+    | Some nodes, Some edges ->
+        let rec prefix nodes edges acc_n acc_e =
+          match (nodes, edges) with
+          | v :: _, _ when surviving.(v) -> (v, List.rev (v :: acc_n), List.rev acc_e)
+          | v :: rest, e :: es -> prefix rest es (v :: acc_n) (e :: acc_e)
+          | _ -> assert false
+        in
+        let merge, path_nodes, path_edges = prefix nodes edges [] [] in
+        let d = Paths.delay_of_edges g path_edges in
+        Some (detour_of t ~member (d, merge, path_nodes, path_edges))
+    | _ -> None
+
+let reference_spf_distance ?failure t v =
+  let g = Tree.graph t in
+  let r =
+    match failure with
+    | None -> Dijkstra.run_reference g ~source:v
+    | Some f ->
+        Dijkstra.run_reference ~node_ok:(Failure.node_ok f) ~edge_ok:(Failure.edge_ok g f) g ~source:v
+  in
+  Dijkstra.distance r (Tree.source t)
+
+(* Random SMRP tree, random failure (a tree link, an on-tree node or a
+   pair), then every early-stopping detour search against its full-search
+   reference, through one shared workspace. *)
+let detours_match_full_search =
+  QCheck.Test.make ~name:"early-stopping detours equal full-search references" ~count:150
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create (seed + 101) in
+      let n = 6 + Rng.int rng 40 in
+      let g = tie_graph rng n (Rng.int rng (2 * n)) in
+      let source = Rng.int rng n in
+      let members =
+        List.sort_uniq compare (List.init (1 + Rng.int rng 10) (fun _ -> Rng.int rng n))
+        |> List.filter (fun m -> m <> source)
+      in
+      let t = Smrp.build ~d_thresh:0.3 g ~source ~members in
+      let pick l = List.nth l (Rng.int rng (List.length l)) in
+      let one () =
+        match (Tree.tree_edges t, List.filter (fun v -> v <> source) (Tree.on_tree_nodes t)) with
+        | [], _ -> Failure.Link (Rng.int rng (Graph.edge_count g))
+        | es, [] -> Failure.Link (pick es)
+        | es, vs -> if Rng.bool rng then Failure.Link (pick es) else Failure.Node (pick vs)
+      in
+      let f = if Rng.int rng 4 = 0 then Failure.compose [ one (); one () ] else one () in
+      let ws = Dijkstra.workspace () in
+      let on_tree = Tree.on_tree_nodes t in
+      let eligible_bits = Array.init n (fun _ -> Rng.int rng 3 > 0) in
+      let eligible v = Tree.is_on_tree t v && eligible_bits.(v) in
+      List.for_all
+        (fun m ->
+          Recovery.local_detour ~ws t f ~member:m = reference_local_detour t f ~member:m
+          && Recovery.global_detour ~ws t f ~member:m = reference_global_detour t f ~member:m)
+        members
+      && List.for_all
+           (fun root ->
+             Recovery.branch_detour ~ws t f ~root ~eligible
+             = reference_branch_detour t f ~root ~eligible)
+           on_tree
+      && List.for_all
+           (fun v ->
+             Smrp.spf_distance ~ws t v = reference_spf_distance t v
+             && ((not (Failure.node_ok f v))
+                || Smrp.spf_distance ~failure:f ~ws t v = reference_spf_distance ~failure:f t v))
+           (List.init n Fun.id))
+
 let () =
   Alcotest.run "graph"
     [
@@ -438,4 +650,6 @@ let () =
           qcheck_case qcheck_yen_sorted_loopless;
           qcheck_case qcheck_bridge_removal_disconnects;
         ] );
+      ( "early stop",
+        [ qcheck_case early_stop_matches_reference; qcheck_case detours_match_full_search ] );
     ]

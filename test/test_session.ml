@@ -8,6 +8,9 @@ module Tree = Smrp_core.Tree
 module Failure = Smrp_core.Failure
 module Recovery = Smrp_core.Recovery
 module Session = Smrp_core.Session
+module Protect = Smrp_core.Protect
+module Smrp = Smrp_core.Smrp
+module Oracle = Smrp_check.Oracle
 
 (* Property tests run with a pinned PRNG state so failures are
    reproducible run over run. *)
@@ -198,6 +201,136 @@ let qcheck_session_failures_leave_valid_trees =
           ignore (Session.fail s f);
           Tree.validate (Session.tree s) = Ok ())
 
+(* -- Protection work ---------------------------------------------------- *)
+
+let recomputes s = (Option.get (Session.protection_stats s)).Protect.recomputes
+
+let members_of s = List.sort compare (Tree.members (Session.tree s))
+
+(* Check one [Session.fail] of a twin against the from-scratch repair
+   oracles: table repairs against a fresh branch search, search repairs
+   against a replay of the staged repair. *)
+let fail_checked s f =
+  let pre = Tree.copy (Session.tree s) in
+  let failure = match Session.active_failure s with Some a -> Failure.compose [ a; f ] | None -> f in
+  let before = List.length (Session.events s) in
+  let repairs = Session.fail s f in
+  let lost =
+    List.filteri (fun j _ -> j > before) (Session.events s)
+    |> List.filter_map (function Session.Lost m -> Some m | _ -> None)
+  in
+  let post = Session.tree s in
+  let verdict =
+    if repairs <> [] && List.for_all (fun r -> r.Session.strategy = `Protected) repairs then
+      Oracle.protected_replay ~pre ~failure:f ~repairs ~post ~lost
+    else Oracle.repair_replay ~pre ~failure ~repairs ~post ~lost
+  in
+  Option.iter (fun v -> Alcotest.failf "%s: %s" v.Oracle.oracle v.Oracle.message) verdict;
+  repairs
+
+(* The tables serve only a session's first failure, so table work is paid
+   there and nowhere else, counted rather than timed: no recompute before
+   it, one per entry it reads, none for later churn or a second failure.
+   The lazily refreshed answers equal eagerly prepared tables on the
+   pre-failure tree, and the protected twin ends like its search twin. *)
+let protection_work_only_at_first_failure () =
+  let rng = Rng.create 31 in
+  let n = 90 in
+  let g = (Waxman.generate rng ~n ~alpha:0.25 ~beta:0.25).Waxman.graph in
+  let sample = Rng.sample_without_replacement rng 19 n in
+  let source = List.hd sample and members = List.tl sample in
+  let protocol = Session.Smrp { d_thresh = 0.3 } in
+  let twin protection =
+    let s = Session.create ~protection g ~source ~protocol in
+    List.iter (Session.join s) members;
+    s
+  in
+  (* First failure: the uplink of the first member the tables can repair. *)
+  let first =
+    List.find_map
+      (fun m ->
+        let sp = twin true in
+        let tree = Session.tree sp in
+        let eid = Tree.parent_edge_id tree m in
+        if eid < 0 then None
+        else begin
+          check_int "no table work before a failure" 0 (recomputes sp);
+          let pre = Tree.copy tree in
+          let repairs = fail_checked sp (Failure.Link eid) in
+          if repairs <> [] && List.for_all (fun r -> r.Session.strategy = `Protected) repairs then
+            Some (sp, pre, eid, repairs)
+          else None
+        end)
+      members
+  in
+  let sp, pre, eid, repairs = Option.get first in
+  let ss = twin false in
+  ignore (fail_checked ss (Failure.Link eid));
+  check_int "one recompute per entry read" 1 (recomputes sp);
+  let eager = Protect.create pre in
+  Protect.prepare eager;
+  (match (repairs, Protect.link_lookup eager eid) with
+  | [ r ], Some e ->
+      let d = r.Session.detour in
+      check "same merge as eager tables" true (d.Recovery.merge = e.Protect.merge);
+      check "same recovery distance as eager tables" true
+        (d.Recovery.recovery_distance = e.Protect.recovery_distance);
+      check "same path as eager tables" true
+        (d.Recovery.path_nodes = e.Protect.path_nodes && d.Recovery.path_edges = e.Protect.path_edges)
+  | _ -> Alcotest.fail "expected one table repair and an eager entry");
+  Alcotest.(check (list int)) "twins agree after the first failure" (members_of ss) (members_of sp);
+  let r1 = recomputes sp in
+  (* Churn after the failure: a leave and two joins on both twins. *)
+  let leaver = List.hd (members_of sp) in
+  Session.leave sp leaver;
+  Session.leave ss leaver;
+  let failure = Option.get (Session.active_failure sp) in
+  let joiners =
+    List.init n Fun.id
+    |> List.filter (fun v ->
+           (not (Tree.is_member (Session.tree sp) v))
+           && (not (Tree.is_member (Session.tree ss) v))
+           && Failure.node_ok failure v
+           && Smrp.spf_distance ~failure (Session.tree sp) v <> None)
+    |> List.filteri (fun i _ -> i < 2)
+  in
+  check_int "two joiners" 2 (List.length joiners);
+  List.iter (fun v -> Session.join sp v; Session.join ss v) joiners;
+  check_int "churn after the first failure recomputes nothing" r1 (recomputes sp);
+  (* Second failure: a tree link above a member, on both twins. *)
+  let tree = Session.tree sp in
+  let m = List.find (fun m -> Tree.parent_edge_id tree m >= 0) (Tree.members tree) in
+  let f2 = Failure.Link (Tree.parent_edge_id tree m) in
+  let rp = fail_checked sp f2 and rs = fail_checked ss f2 in
+  check "second failure takes the search path" true
+    (List.for_all (fun r -> r.Session.strategy = `Local) rp);
+  check "both twins repaired" true (rp <> [] && rs <> []);
+  check_int "a second failure recomputes nothing" r1 (recomputes sp);
+  Alcotest.(check (list int)) "twins end with the same members" (members_of ss) (members_of sp)
+
+(* Lazy refreshes after invalidations reuse the path arenas from the start;
+   every answer must still equal a freshly built table's. *)
+let lazy_refresh_matches_fresh_tables () =
+  let rng = Rng.create 8 in
+  let n = 70 in
+  let g = (Waxman.generate rng ~n ~alpha:0.25 ~beta:0.25).Waxman.graph in
+  let sample = Rng.sample_without_replacement rng 16 n in
+  let source = List.hd sample in
+  let t = Smrp.build ~d_thresh:0.3 g ~source ~members:[] in
+  let p = Protect.create t in
+  List.iter
+    (fun m ->
+      Smrp.join ~d_thresh:0.3 t m;
+      Protect.invalidate p;
+      let fresh = Protect.create t in
+      List.iter
+        (fun eid ->
+          check "link entry" true (Protect.link_lookup p eid = Protect.link_lookup fresh eid);
+          check "node entry" true (Protect.node_lookup p eid = Protect.node_lookup fresh eid))
+        (Tree.tree_edges t))
+    (List.tl sample);
+  check "entries were recomputed" true ((Protect.stats p).Protect.recomputes > 0)
+
 let () =
   Alcotest.run "session"
     [
@@ -216,6 +349,13 @@ let () =
           Alcotest.test_case "sequential failures accumulate" `Quick sequential_failures_accumulate;
           Alcotest.test_case "joins avoid dead links" `Quick join_after_failure_avoids_dead_link;
           Alcotest.test_case "reshape respects failures" `Quick reshape_respects_active_failures;
+        ] );
+      ( "protection",
+        [
+          Alcotest.test_case "table work only at the first failure" `Quick
+            protection_work_only_at_first_failure;
+          Alcotest.test_case "lazy refresh matches fresh tables" `Quick
+            lazy_refresh_matches_fresh_tables;
         ] );
       ( "properties",
         [ qcheck_case qcheck_session_failures_leave_valid_trees ] );
