@@ -51,7 +51,8 @@ let () =
         " scale micro tolerances by the baseline's quick_factor (noisy CI runners)" );
       ( "--write-baseline",
         Arg.Set_string write_baseline,
-        "FILE derive a baseline from --results and write it to FILE, then exit" );
+        "FILE derive a baseline from --results and write it to FILE, keeping the tolerances of \
+         --baseline when that file exists, then exit" );
       ( "--history",
         Arg.Set_string history,
         "FILE history file for the trend summary (default BENCH_HISTORY.jsonl; absent file: no \
@@ -67,7 +68,10 @@ let () =
   in
   Arg.parse spec (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a))) usage;
   if !write_baseline <> "" then begin
-    let b = Check_core.baseline_of_results (load "results" !results) in
+    (* The baseline being replaced, when there is one, lends its
+       tolerances (per-metric overrides included) to the new one. *)
+    let previous = if Sys.file_exists !baseline then Some (load "baseline" !baseline) else None in
+    let b = Check_core.baseline_of_results ?previous (load "results" !results) in
     let oc = open_out !write_baseline in
     output_string oc (Bench_json.to_string b);
     output_char oc '\n';

@@ -387,7 +387,21 @@ let default_tolerances =
       ("throughput_rel", J.Obj []);
     ]
 
-let baseline_of_results results =
+(* A re-recorded baseline keeps the tolerances of the one it replaces
+   (per-metric overrides included): each default member is taken from
+   [previous] when set there, and members only [previous] has are kept. *)
+let tolerances_of previous =
+  let kept =
+    match Option.bind previous (J.member "tolerances") with
+    | Some t -> J.obj_members t
+    | None -> []
+  in
+  let defaults = J.obj_members default_tolerances in
+  J.Obj
+    (List.map (fun (k, v) -> (k, Option.value (List.assoc_opt k kept) ~default:v)) defaults
+    @ List.filter (fun (k, _) -> not (List.mem_assoc k defaults)) kept)
+
+let baseline_of_results ?previous results =
   let copy path = Option.map (fun v -> (List.nth path (List.length path - 1), v)) (J.mem_path path results) in
   let workload =
     List.filter_map copy [ [ "workload"; "fig9_digest" ]; [ "workload"; "fig9_metrics" ] ]
@@ -399,5 +413,5 @@ let baseline_of_results results =
          Some ("workload", J.Obj workload);
          Option.map (fun v -> ("micro_ns_per_run", v)) (J.member "micro_ns_per_run" results);
          Option.map (fun v -> ("micro_throughput", v)) (J.member "micro_throughput" results);
-         Some ("tolerances", default_tolerances);
+         Some ("tolerances", tolerances_of previous);
        ])

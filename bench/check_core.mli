@@ -45,9 +45,12 @@ val passed : report -> bool
 val render : ?quick:bool -> report -> string
 (** Human-readable per-metric diff table plus notes and a PASS/FAIL line. *)
 
-val baseline_of_results : Bench_json.t -> Bench_json.t
+val baseline_of_results : ?previous:Bench_json.t -> Bench_json.t -> Bench_json.t
 (** Derive a committable baseline from a results file: the workload
-    section, the micro estimates, and default tolerances. *)
+    section, the micro estimates, and tolerances.  The tolerances are
+    [previous]'s (the baseline being replaced), per-metric overrides
+    included, with defaults for any member it lacks; without [previous],
+    the defaults. *)
 
 val trend : ?window:int -> string list -> string
 (** Longitudinal micro-estimate summary from [BENCH_HISTORY.jsonl] lines

@@ -356,6 +356,27 @@ let micro () =
                     ~code ~a:k ~b:0)
              done;
              Engine.run eng));
+      Test.make ~name:"engine_hold_events"
+        (* The packet simulator's traffic shape (a hold model): 330 events
+           pending, each firing re-schedules itself one link delay later,
+           delays drawn from the Euclidean range 14.5 ms .. 1.06 s.  A run
+           is 1024 firings; the queue never drains. *)
+        (let eng = Engine.create () in
+         let rng = Rng.create 330 in
+         let delays = Array.init 1024 (fun _ -> 0.0145 +. Rng.float rng 1.0455) in
+         let k = ref 0 in
+         let code = ref 0 in
+         code :=
+           Engine.register eng (fun a _ ->
+               k := (!k + 1) land 1023;
+               Engine.schedule_code eng ~delay:delays.(!k) ~code:!code ~a ~b:0);
+         for a = 0 to 329 do
+           Engine.schedule_code eng ~delay:delays.(a) ~code:!code ~a ~b:0
+         done;
+         Staged.stage (fun () ->
+             for _ = 1 to 1024 do
+               ignore (Engine.step eng : bool)
+             done));
       Test.make ~name:"engine_1024_events_flight_off"
         (* Same workload with the flight recorder disabled: the pair gates
            recorder overhead (flight_recorder_overhead in check_core). *)
@@ -405,6 +426,8 @@ let micro () =
       (fun (m, t) (name, ns) ->
         if String.equal name "engine_1024_events" then
           (m, ("engine_events_per_sec", 1024e9 /. ns) :: t)
+        else if String.equal name "engine_hold_events" then
+          (m, ("engine_hold_events_per_sec", 1024e9 /. ns) :: t)
         else if String.equal name "engine_1024_events_flight_off" then
           (m, ("engine_events_per_sec_flight_off", 1024e9 /. ns) :: t)
         else if String.equal name "protect_lookup_1024" then

@@ -552,8 +552,9 @@ let fuzz_cmd =
       & info [ "engine-diff" ]
           ~doc:
             "Engine-differential mode: replay each case as a packet-level simulation on both \
-             the timer-wheel and the reference-heap event queues and fail unless the engine \
-             fingerprint, frame accounting and member reports are byte-identical.")
+             the production 4-ary-heap and the reference binary-heap event queues and fail \
+             unless the engine fingerprint, frame accounting and member reports are \
+             byte-identical.")
   in
   let protection =
     Arg.(

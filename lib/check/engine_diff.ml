@@ -119,24 +119,24 @@ let digest impl (case : Case.t) =
     (Protocol.reports p);
   (!applied, !skipped, Buffer.contents buf)
 
-let first_diff wheel reference =
+let first_diff production reference =
   let rec go = function
     | a :: tl, b :: tl' -> if String.equal a b then go (tl, tl') else Some (a, b)
     | a :: _, [] -> Some (a, "<missing>")
     | [], b :: _ -> Some ("<missing>", b)
     | [], [] -> None
   in
-  go (String.split_on_char '\n' wheel, String.split_on_char '\n' reference)
+  go (String.split_on_char '\n' production, String.split_on_char '\n' reference)
 
 let check (case : Case.t) =
-  let applied, skipped, wheel = digest Engine.Wheel case in
+  let applied, skipped, production = digest Engine.Heap case in
   let _, _, reference = digest Engine.Reference case in
-  if String.equal wheel reference then { applied; skipped; mismatch = None }
+  if String.equal production reference then { applied; skipped; mismatch = None }
   else
     let mismatch =
-      match first_diff wheel reference with
-      | Some (w, r) ->
-          Some (Printf.sprintf "timer-wheel run reports %S, reference-heap run reports %S" w r)
+      match first_diff production reference with
+      | Some (p, r) ->
+          Some (Printf.sprintf "4-ary-heap run reports %S, reference-heap run reports %S" p r)
       | None -> Some "digests differ" (* unreachable: unequal strings diverge somewhere *)
     in
     { applied; skipped; mismatch }

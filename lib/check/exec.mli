@@ -60,9 +60,9 @@ val fails : ?bug:bug -> ?protection:bool -> Case.t -> bool
 val run_engine_diff : Case.t -> outcome
 (** Execute the case through {!Engine_diff} instead of the tree-level
     session: the same event schedule drives a packet-level simulation on
-    both the timer-wheel and the reference-heap engines, and the run fails
-    unless every observable — engine fingerprint, frame accounting, member
-    reports — is byte-identical.  The violation (oracle
+    both the production 4-ary-heap and the reference binary-heap engines,
+    and the run fails unless every observable — engine fingerprint, frame
+    accounting, member reports — is byte-identical.  The violation (oracle
     ["engine-differential"]) anchors at event 0 because the property is a
     whole-run comparison. *)
 

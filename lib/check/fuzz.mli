@@ -14,8 +14,8 @@ type config = {
   engine_diff : bool;
       (** Run {!Exec.run_engine_diff} instead of the tree-level executor:
           each case replays as a packet-level simulation on both the
-          timer-wheel and reference-heap engines and must produce
-          byte-identical outcomes.  [bug] is ignored in this mode. *)
+          production 4-ary-heap and reference binary-heap engines and must
+          produce byte-identical outcomes.  [bug] is ignored in this mode. *)
   protection : bool;
       (** Arm the precomputed-protection layer in every session: failures
           answered from the {!Smrp_core.Protect} tables are audited by the

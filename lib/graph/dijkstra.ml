@@ -273,7 +273,31 @@ let run ?node_ok ?edge_ok ?absorb ?dist_bound ?stop ?workspace:ws g ~source =
                   parent.(v) <- u;
                   parent_edge.(v) <- eids.(i);
                   visited.(v) <- epoch;
-                  Int_heap.add heap d' v
+                  (* Inlined Int_heap.add, as in [relax]: no boxed float. *)
+                  Int_heap.grow heap;
+                  let pa = heap.Int_heap.prio
+                  and sa = heap.Int_heap.seq
+                  and va = heap.Int_heap.value in
+                  let seq = heap.Int_heap.next_seq in
+                  heap.Int_heap.next_seq <- seq + 1;
+                  let j = ref heap.Int_heap.size in
+                  heap.Int_heap.size <- !j + 1;
+                  let continue = ref (!j > 0) in
+                  while !continue do
+                    let p = (!j - 1) / 2 in
+                    let pp = Array.unsafe_get pa p in
+                    if d' < pp || (d' = pp && seq < Array.unsafe_get sa p) then begin
+                      Array.unsafe_set pa !j pp;
+                      Array.unsafe_set sa !j (Array.unsafe_get sa p);
+                      Array.unsafe_set va !j (Array.unsafe_get va p);
+                      j := p;
+                      continue := p > 0
+                    end
+                    else continue := false
+                  done;
+                  Array.unsafe_set pa !j d';
+                  Array.unsafe_set sa !j seq;
+                  Array.unsafe_set va !j v
                 end
               end
             done

@@ -4,12 +4,12 @@ module Flight = Smrp_obs.Flight
 (* Engine v2: the facade owns the clock, the pooled event table and all
    instrumentation; the queue behind it is a pure (tick, seq) -> eid
    priority structure with two interchangeable implementations.  Sharing
-   everything but the queue is what makes the wheel-vs-reference
+   everything but the queue is what makes the heap-vs-reference
    differential trivial: identical pop order implies identical behavior. *)
 
-type impl = Wheel | Reference
+type impl = Heap | Reference
 
-type queue = Q_wheel of Engine_wheel.t | Q_ref of Engine_reference.t
+type queue = Q_heap of Engine_heap.t | Q_ref of Engine_reference.t
 
 (* Handles pack (generation, id) into an int: bit 62 tags periodic series,
    bits 31..61 are the slot generation, bits 0..30 the slot id.  A stale
@@ -34,6 +34,7 @@ type meters = {
 
 type t = {
   mutable clock : float;
+  mutable clock_tick : int; (* always [tick_of_time clock] *)
   mutable seq : int; (* global scheduling sequence: FIFO ties *)
   queue : queue;
   (* event pool (struct of arrays; free list threaded through ev_next) *)
@@ -74,7 +75,7 @@ let dummy_handler _ _ = ()
 
 let free_chain n off = Array.init n (fun i -> if i = n - 1 then -1 else off + i + 1)
 
-let create ?obs ?flight ?(impl = Wheel) () =
+let create ?obs ?flight ?(impl = Heap) () =
   let flight =
     match flight with Some f -> f | None -> Flight.recorder Flight.global
   in
@@ -94,8 +95,12 @@ let create ?obs ?flight ?(impl = Wheel) () =
   let cap = 64 in
   {
     clock = 0.0;
+    clock_tick = 0;
     seq = 0;
-    queue = (match impl with Wheel -> Q_wheel (Engine_wheel.create ()) | Reference -> Q_ref (Engine_reference.create ()));
+    queue =
+      (match impl with
+      | Heap -> Q_heap (Engine_heap.create ())
+      | Reference -> Q_ref (Engine_reference.create ()));
     ev_tick = Array.make cap 0;
     ev_code = Array.make cap 0;
     ev_a = Array.make cap 0;
@@ -124,6 +129,7 @@ let create ?obs ?flight ?(impl = Wheel) () =
 let obs t = t.obs
 let flight t = t.flight
 let now t = t.clock
+let now_tick t = t.clock_tick
 let pending t = t.live
 let events_fired t = t.n_fired
 let fingerprint t = t.fp
@@ -132,14 +138,14 @@ let fingerprint t = t.fp
 
 let[@inline] q_add t ~tick ~seq ~eid =
   match t.queue with
-  | Q_wheel w -> Engine_wheel.add w ~tick ~seq ~eid
+  | Q_heap h -> Engine_heap.add h ~tick ~seq ~eid
   | Q_ref r -> Engine_reference.add r ~tick ~seq ~eid
 
 let[@inline] q_pop t =
-  match t.queue with Q_wheel w -> Engine_wheel.pop_min w | Q_ref r -> Engine_reference.pop_min r
+  match t.queue with Q_heap h -> Engine_heap.pop_min h | Q_ref r -> Engine_reference.pop_min r
 
 let[@inline] q_min t =
-  match t.queue with Q_wheel w -> Engine_wheel.min_tick w | Q_ref r -> Engine_reference.min_tick r
+  match t.queue with Q_heap h -> Engine_heap.min_tick h | Q_ref r -> Engine_reference.min_tick r
 
 (* -- Pool management ----------------------------------------------------- *)
 
@@ -321,9 +327,16 @@ let step t =
     let code = t.ev_code.(eid) in
     let a = t.ev_a.(eid) in
     let b = t.ev_b.(eid) in
-    (* Float.max: [run ~until] may have advanced the clock past this tick's
-       quantized float by a sub-tick margin. *)
-    t.clock <- Float.max t.clock (time_of_tick tick);
+    (* Never backwards: [run ~until] may have advanced the clock past this
+       tick's quantized float by a sub-tick margin.  (Times are never NaN
+       or negative, so this is [Float.max] without its sign-bit calls.) *)
+    let time = time_of_tick tick in
+    if time > t.clock then begin
+      t.clock <- time;
+      (* [tick] round-trips through its float exactly below 2^51 ticks
+         (7 simulated years); past that, re-derive it. *)
+      t.clock_tick <- (if tick < 1 lsl 51 then tick else tick_of_time time)
+    end;
     release_event t eid;
     if state = st_cancelled then begin
       if code = 0 then release_closure t a;
@@ -362,4 +375,8 @@ let run ?until t =
   while continue () && step t do
     ()
   done;
-  match until with Some limit -> t.clock <- Float.max t.clock limit | None -> ()
+  match until with
+  | Some limit when limit > t.clock ->
+      t.clock <- limit;
+      t.clock_tick <- tick_of_time limit
+  | _ -> ()

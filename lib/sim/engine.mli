@@ -15,10 +15,10 @@
     provided it by accident of heap layout.
 
     Two queue implementations sit behind the same facade: the default
-    hierarchical timer wheel ([`Wheel]) and the retained binary heap
-    ([`Reference]) used as a differential-testing oracle.  For any
-    workload the two must produce identical event sequences; [fingerprint]
-    exists to check exactly that cheaply. *)
+    4-ary heap ([`Heap], {!Engine_heap}) and the retained binary heap
+    ([`Reference], {!Engine_reference}) used as a differential-testing
+    oracle.  For any workload the two must produce identical event
+    sequences; [fingerprint] exists to check exactly that cheaply. *)
 
 type t
 
@@ -27,7 +27,7 @@ type handle
     generation-stamped ints: cancelling a handle whose event already fired
     — even if the underlying slot has been recycled — is a safe no-op. *)
 
-type impl = Wheel | Reference
+type impl = Heap | Reference
 
 val ticks_per_second : float
 (** Clock resolution: 1e7 ticks per simulated second (100 ns per tick).
@@ -61,6 +61,10 @@ val flight : t -> Smrp_obs.Flight.recorder
     record their wire and milestone events into the same ring. *)
 
 val now : t -> float
+
+val now_tick : t -> int
+(** [tick_of_time (now t)], kept up to date by the engine: the current time
+    as a flight-record tick without a float rounding per read. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> handle
 (** [schedule t ~delay f] runs [f] at [now t +. delay].  [delay >= 0]. *)
@@ -102,5 +106,5 @@ val events_fired : t -> int
 val fingerprint : t -> int
 (** Rolling hash over the [(tick, code)] sequence of every fired event.
     Two engines that processed the same workload in the same order have
-    equal fingerprints — the cheap half of the wheel-vs-reference
+    equal fingerprints — the cheap half of the heap-vs-reference
     differential oracle. *)

@@ -1,7 +1,7 @@
 (* Binary heap on (tick, seq), int-specialised: three parallel int arrays and
    hand-inlined sift loops.  seq is globally unique, so the order is total
-   and pops are deterministic — the property the wheel is differentially
-   tested against. *)
+   and pops are deterministic — the property the production heap is
+   differentially tested against. *)
 
 type t = {
   mutable tick : int array;

@@ -3,7 +3,7 @@
 
     This is the retained descendant of the original float-keyed heap engine,
     re-keyed on the scaled-int simulation clock so that it is directly
-    comparable with {!Engine_wheel}: for any schedule/cancel workload the two
+    comparable with {!Engine_heap}: for any schedule/cancel workload the two
     queues must pop the exact same [(tick, seq)] sequence.  The {!Engine}
     facade uses it as the differential-testing oracle ([`Reference]). *)
 

@@ -19,6 +19,11 @@ type meters = {
 type 'msg t = {
   engine : Engine.t;
   graph : Graph.t;
+  (* the graph's CSR offsets / neighbours / edge ids, taken at creation:
+     [send] resolves its link by scanning [src]'s slice, allocation-free *)
+  adj_offsets : int array;
+  adj_neighbor : int array;
+  adj_edge : int array;
   handler : 'msg t -> at:int -> from:int -> eid:int -> 'msg -> unit;
   on_drop : ('msg -> unit) option;
   link_down : bool array;
@@ -75,7 +80,7 @@ let[@inline] drop t msg = match t.on_drop with Some f -> f msg | None -> ()
 (* Flight record for a wire event: a = the packed message, b = src/dst. *)
 let[@inline] flight_record t ~code ~src ~dst msg =
   Flight.record t.flight
-    ~tick:(Engine.tick_of_time (Engine.now t.engine))
+    ~tick:(Engine.now_tick t.engine)
     ~code ~a:(t.msg_int msg)
     ~b:((src lsl 31) lor dst)
 
@@ -149,10 +154,14 @@ let create ?obs ?msg_label ?msg_int ?on_drop engine graph ~handler =
         })
       obs
   in
+  let adj_offsets, adj_neighbor, adj_edge, _ = Graph.csr graph in
   let t =
     {
       engine;
       graph;
+      adj_offsets;
+      adj_neighbor;
+      adj_edge;
       handler;
       on_drop;
       link_down = Array.make (Graph.edge_count graph) false;
@@ -181,11 +190,23 @@ let create ?obs ?msg_label ?msg_int ?on_drop engine graph ~handler =
   t.deliver_code <- Engine.register engine (fun slot _ -> deliver t slot);
   t
 
+(* Id of the edge joining [src] to [dst], or -1 (also for a node out of
+   range): a scan of [src]'s CSR slice. *)
+let edge_to t ~src ~dst =
+  if src < 0 || src >= Array.length t.adj_offsets - 1 then -1
+  else begin
+    let stop = t.adj_offsets.(src + 1) in
+    let i = ref t.adj_offsets.(src) in
+    while !i < stop && t.adj_neighbor.(!i) <> dst do
+      incr i
+    done;
+    if !i < stop then t.adj_edge.(!i) else -1
+  end
+
 let send t ~src ~dst msg =
-  match Graph.edge_between t.graph src dst with
-  | None -> invalid_arg "Net.send: nodes not adjacent"
-  | Some e ->
-      let eid = e.Graph.id in
+  match edge_to t ~src ~dst with
+  | -1 -> invalid_arg "Net.send: nodes not adjacent"
+  | eid ->
       if t.link_down.(eid) || t.node_down.(src) || t.node_down.(dst) then begin
         t.dropped_send_failure <- t.dropped_send_failure + 1;
         flight_record t ~code:Flight.net_drop_send ~src ~dst msg;
@@ -224,7 +245,8 @@ let send t ~src ~dst msg =
           t.fr_eid.(slot) <- eid;
           t.fr_sent.(slot) <- Engine.now t.engine;
           t.fr_msg.(slot) <- msg;
-          Engine.schedule_code t.engine ~delay:e.Graph.delay ~code:t.deliver_code ~a:slot ~b:0
+          Engine.schedule_code t.engine ~delay:(Graph.edge t.graph eid).Graph.delay
+            ~code:t.deliver_code ~a:slot ~b:0
         end;
         true
       end

@@ -42,7 +42,9 @@ val graph : 'msg t -> Smrp_graph.Graph.t
 val send : 'msg t -> src:int -> dst:int -> 'msg -> bool
 (** Send over the (existing) link [src]–[dst]; returns whether the frame was
     put on the wire (i.e. the link and both endpoints were up at send time).
-    Raises [Invalid_argument] if the nodes are not adjacent. *)
+    Raises [Invalid_argument] if the nodes are not adjacent.  The link is
+    found in the graph's adjacency as it stood at {!create}: edges added to
+    the graph afterwards are not part of the network. *)
 
 val fail_link : 'msg t -> int -> unit
 (** Take an edge down (by id). *)

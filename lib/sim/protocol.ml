@@ -163,6 +163,7 @@ type t = {
   mutable r_next : int array;
   mutable r_free : int;
   causal : Causal.tracker;
+  ws : Smrp_graph.Dijkstra.workspace; (* every search the protocol runs *)
   flight : Flight.recorder; (* the engine's ring; milestone records *)
   trace : Trace.t;
   meters : meters option;
@@ -266,32 +267,34 @@ let reclaim t m =
 (* -- Sending ------------------------------------------------------------- *)
 
 let send t ~src ~dst m =
-  let mt = t.meters in
-  let meter f = match mt with Some mt -> Metrics.Counter.incr (f mt) | None -> () in
   (match m land 7 with
-  | 3 ->
-      t.data_sent <- t.data_sent + 1;
-      meter (fun m -> m.p_data)
+  | 3 -> t.data_sent <- t.data_sent + 1
   | 0 ->
       t.control_sent <- t.control_sent + 1;
-      t.hello_sent <- t.hello_sent + 1;
-      meter (fun m -> m.p_hello)
+      t.hello_sent <- t.hello_sent + 1
   | 5 | 6 ->
       t.control_sent <- t.control_sent + 1;
-      t.query_sent <- t.query_sent + 1;
-      meter (fun m -> m.p_query)
+      t.query_sent <- t.query_sent + 1
   | 4 ->
       t.control_sent <- t.control_sent + 1;
-      t.join_sent <- t.join_sent + 1;
-      meter (fun m -> m.p_join)
+      t.join_sent <- t.join_sent + 1
   | 1 ->
       t.control_sent <- t.control_sent + 1;
-      t.refresh_sent <- t.refresh_sent + 1;
-      meter (fun m -> m.p_refresh)
+      t.refresh_sent <- t.refresh_sent + 1
   | _ ->
       t.control_sent <- t.control_sent + 1;
-      t.prune_sent <- t.prune_sent + 1;
-      meter (fun m -> m.p_prune));
+      t.prune_sent <- t.prune_sent + 1);
+  (match t.meters with
+  | Some mt ->
+      Metrics.Counter.incr
+        (match m land 7 with
+        | 3 -> mt.p_data
+        | 0 -> mt.p_hello
+        | 5 | 6 -> mt.p_query
+        | 4 -> mt.p_join
+        | 1 -> mt.p_refresh
+        | _ -> mt.p_prune)
+  | None -> ());
   ignore (Net.send (net t) ~src ~dst m : bool)
 
 let hold_time t = t.config.hold_factor *. t.config.refresh_period
@@ -370,7 +373,10 @@ let handle_data t ~at ~from seq =
   t.n_last_data.(at) <- now;
   if t.n_member.(at) then begin
     t.n_data_received.(at) <- t.n_data_received.(at) + 1;
-    if Causal.disrupted t.causal at then begin
+    (* An open episode implies [n_recovering] (declare_disrupted sets it
+       before noting the detection), so the flag spares the tracker's
+       lookup on every ordinary data frame. *)
+    if t.n_recovering.(at) && Causal.disrupted t.causal at then begin
       t.n_recovering.(at) <- false;
       t.disrupted_now <- t.disrupted_now - 1;
       Flight.record t.flight ~tick:(Engine.tick_of_time now) ~code:Flight.proto_first_data
@@ -473,7 +479,7 @@ let handle_query t ~at slot =
   end
   else begin
     (* Forward along our unicast next hop towards the source. *)
-    match Smrp_graph.Dijkstra.shortest_path t.graph ~src:at ~dst:t.source with
+    match Smrp_graph.Dijkstra.shortest_path ~workspace:t.ws t.graph ~src:at ~dst:t.source with
     | Some (_, _ :: next :: _, _) when (not (on_path next)) && next <> requester ->
         ensure_keep t.q_path slot (plen + 1);
         t.q_path.(slot).(plen) <- at;
@@ -604,6 +610,7 @@ let create ?(config = default_config) ?obs engine graph ~source =
       r_next = free_chain pool0 0;
       r_free = 0;
       causal = Causal.create ();
+      ws = Smrp_graph.Dijkstra.workspace ~capacity:n ();
       flight = Engine.flight engine;
       trace = (match obs with Some o -> Smrp_obs.Obs.trace o | None -> Trace.null);
       meters;
@@ -671,18 +678,18 @@ let oracle_join t m =
     | Local -> begin
         if Tree.is_on_tree t.tree m then ([ m ], [])
         else
-          match Smrp.spf_distance t.tree m with
+          match Smrp.spf_distance ~ws:t.ws t.tree m with
           | None -> invalid_arg "Protocol.join: source unreachable"
           | Some spf_dist -> begin
               match
                 Smrp.select ~d_thresh:t.config.d_thresh ~spf_distance:spf_dist
-                  (Smrp.candidates t.tree ~joiner:m)
+                  (Smrp.candidates ~ws:t.ws t.tree ~joiner:m)
               with
               | Some c -> (c.Smrp.attach_nodes, c.Smrp.attach_edges)
               | None -> invalid_arg "Protocol.join: no connection to the tree"
             end
       end
-    | Global -> Spf.attach_path t.tree m
+    | Global -> Spf.attach_path ~ws:t.ws t.tree m
   in
   (match (attach_nodes, attach_edges) with
   | [ _ ], [] -> ()
@@ -736,7 +743,7 @@ let finalize_query_join t m =
       | [] -> false
     in
     let candidates = List.filter graftable (List.map (candidate_of_response t) responses) in
-    match Smrp.spf_distance t.tree m with
+    match Smrp.spf_distance ~ws:t.ws t.tree m with
     | None -> ()
     | Some spf_dist -> (
         match Smrp.select ~d_thresh:t.config.d_thresh ~spf_distance:spf_dist candidates with
@@ -788,7 +795,7 @@ let reshape_node t r =
     && Tree.is_on_tree t.tree r
   then begin
     let old_parent = t.n_parent.(r) in
-    if Reshape.try_reshape ~d_thresh:t.config.d_thresh t.tree r then begin
+    if Reshape.try_reshape ~d_thresh:t.config.d_thresh ~ws:t.ws t.tree r then begin
       Flight.record t.flight
         ~tick:(Engine.tick_of_time (Engine.now t.engine))
         ~code:Flight.proto_reshape ~a:r ~b:old_parent;
@@ -824,8 +831,8 @@ let recover_member t m =
   let f = Option.get t.failure in
   let detour =
     match t.config.strategy with
-    | Local -> Recovery.local_detour t.tree f ~member:m
-    | Global -> Recovery.global_detour t.tree f ~member:m
+    | Local -> Recovery.local_detour ~ws:t.ws t.tree f ~member:m
+    | Global -> Recovery.global_detour ~ws:t.ws t.tree f ~member:m
   in
   match detour with
   | None -> () (* isolated: stays disrupted *)
@@ -883,14 +890,15 @@ let start t =
          t.n_last_forwarded.(t.source) <- seq;
          let now = Engine.now t.engine in
          fanout_data t t.source ~except:(-1) ~now ~seq));
-  (* Hellos on every live link. *)
+  (* Hellos on every live link, straight off the CSR adjacency. *)
   ignore
     (Engine.every t.engine ~period:t.config.hello_period (fun () ->
+         let offsets, neighbor, edge_id, _ = Graph.csr t.graph in
          for v = 0 to Graph.node_count t.graph - 1 do
            if Net.node_up (net t) v then
-             List.iter
-               (fun (nb, eid) -> if Net.link_up (net t) eid then send t ~src:v ~dst:nb msg_hello)
-               (Graph.neighbors t.graph v)
+             for i = offsets.(v) to offsets.(v + 1) - 1 do
+               if Net.link_up (net t) edge_id.(i) then send t ~src:v ~dst:neighbor.(i) msg_hello
+             done
          done));
   (* Refreshes from every attached node towards its parent, and PIM-style
      periodic join refresh from members along their stored attach paths —

@@ -78,7 +78,12 @@ val create :
     the metrics registry, and — when the trace sink is live — emits
     recovery spans (one per disrupted member, on the member's track) plus
     instants for the failure, detection, detour signalling, merge-node
-    installation, first data, query finalisation and reshape switches. *)
+    installation, first data, query finalisation and reshape switches.
+
+    The protocol owns one {!Smrp_graph.Dijkstra.workspace} sized to the
+    graph, shared by every search it runs (join selection, query
+    forwarding, reshaping, detours), so a protocol instance is
+    domain-private: drive it, and its engine, from one domain at a time. *)
 
 val net : t -> msg Net.t
 

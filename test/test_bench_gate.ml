@@ -155,6 +155,35 @@ let baseline_derivation_shape () =
   check "attestation not baked into baseline" true
     (J.mem_path [ "workload"; "seq_par_identical" ] baseline = None)
 
+let baseline_rerecord_keeps_overrides () =
+  (* Re-recording over a baseline with per-metric overrides must carry
+     them, and any changed default, into the new baseline. *)
+  let previous =
+    J.Obj
+      [
+        ( "tolerances",
+          J.Obj
+            [
+              ("quick_factor", J.Num 3.0);
+              ("micro_rel", J.Obj [ ("campaign_quick", J.Num 0.75); ("waxman_100k", J.Num 0.75) ]);
+              ("throughput_rel", J.Obj [ ("flight_recorder_overhead", J.Num 0.1) ]);
+            ] );
+      ]
+  in
+  let b = Check.baseline_of_results ~previous (results ()) in
+  let num path = Option.bind (J.mem_path path b) J.to_num in
+  check "micro override kept" true (num [ "tolerances"; "micro_rel"; "campaign_quick" ] = Some 0.75);
+  check "second micro override kept" true
+    (num [ "tolerances"; "micro_rel"; "waxman_100k" ] = Some 0.75);
+  check "throughput override kept" true
+    (num [ "tolerances"; "throughput_rel"; "flight_recorder_overhead" ] = Some 0.1);
+  check "changed default kept" true (num [ "tolerances"; "quick_factor" ] = Some 3.0);
+  check "missing default filled" true (num [ "tolerances"; "micro_default_rel" ] = Some 0.5);
+  check "workload from the results" true
+    (J.mem_path [ "workload"; "fig9_digest" ] b = Some (J.Str "d1"));
+  check "overrides still gate" true
+    (Check.passed (Check.check ~baseline:b ~results:(results ()) ()))
+
 let () =
   Alcotest.run "bench_gate"
     [
@@ -174,5 +203,7 @@ let () =
           Alcotest.test_case "fails on workload drift" `Quick gate_fails_on_workload_drift;
           Alcotest.test_case "fails on missing/schema" `Quick gate_fails_on_missing_and_schema;
           Alcotest.test_case "baseline derivation" `Quick baseline_derivation_shape;
+          Alcotest.test_case "re-record keeps tolerance overrides" `Quick
+            baseline_rerecord_keeps_overrides;
         ] );
     ]

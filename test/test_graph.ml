@@ -464,6 +464,26 @@ let early_stop_matches_reference =
           | _ -> ( match Dijkstra.distance r v with None -> true | Some dv -> dv > !d))
         (List.init n Fun.id))
 
+(* The fully filtered search loop (taken whenever [edge_ok] is given) pushes
+   without boxing a float: one run on a 200-node Waxman graph that borrows a
+   warm workspace allocates only its fixed per-run closures and result,
+   not a word per relaxation (boxed pushes cost ~670 words here). *)
+let filtered_run_allocation () =
+  let g =
+    (Smrp_topology.Waxman.generate (Rng.create 7) ~n:200 ~alpha:0.2 ~beta:0.2)
+      .Smrp_topology.Waxman.graph
+  in
+  let edge_ok e = e mod 7 <> 3 in
+  let ws = Dijkstra.workspace ~capacity:200 () in
+  ignore (Dijkstra.run ~edge_ok ~workspace:ws g ~source:0);
+  let w0 = Gc.minor_words () in
+  let r = Dijkstra.run ~edge_ok ~workspace:ws g ~source:0 in
+  let words = Gc.minor_words () -. w0 in
+  check "search reached most of the graph" true
+    (List.length (List.filter (fun v -> Dijkstra.distance r v <> None) (List.init 200 Fun.id))
+    > 100);
+  if words >= 100.0 then Alcotest.failf "filtered run allocated %.0f words, expected < 100" words
+
 (* The detour searches as they were before the early stop: full reference
    searches and the same descending scans, kept here as the oracle. *)
 let reference_nearest g result ~target =
@@ -651,5 +671,9 @@ let () =
           qcheck_case qcheck_bridge_removal_disconnects;
         ] );
       ( "early stop",
-        [ qcheck_case early_stop_matches_reference; qcheck_case detours_match_full_search ] );
+        [
+          qcheck_case early_stop_matches_reference;
+          qcheck_case detours_match_full_search;
+          Alcotest.test_case "filtered run allocation" `Quick filtered_run_allocation;
+        ] );
     ]

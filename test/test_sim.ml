@@ -11,6 +11,10 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
 
+(* Both queue implementations behind the engine facade: the production
+   4-ary heap and the reference binary heap. *)
+let impls = [ Engine.Heap; Engine.Reference ]
+
 let edge g u v = (Option.get (Graph.edge_between g u v)).Graph.id
 
 (* -- Engine ------------------------------------------------------------ *)
@@ -26,11 +30,16 @@ let events_fire_in_time_order () =
   check_float "clock at last event" 3.0 (Engine.now e)
 
 let equal_times_fifo () =
-  let e = Engine.create () in
-  let log = ref [] in
-  List.iter (fun i -> ignore (Engine.schedule e ~delay:1.0 (fun () -> log := i :: !log))) [ 1; 2; 3 ];
-  Engine.run e;
-  Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (List.rev !log)
+  List.iter
+    (fun impl ->
+      let e = Engine.create ~impl () in
+      let log = ref [] in
+      List.iter
+        (fun i -> ignore (Engine.schedule e ~delay:1.0 (fun () -> log := i :: !log)))
+        [ 1; 2; 3; 4; 5; 6; 7 ];
+      Engine.run e;
+      Alcotest.(check (list int)) "fifo" [ 1; 2; 3; 4; 5; 6; 7 ] (List.rev !log))
+    impls
 
 let cancel_prevents_firing () =
   let e = Engine.create () in
@@ -95,33 +104,35 @@ let every_with_jitter () =
   in
   List.iter (fun g -> check "gap within jitter band" true (g >= 0.74 && g <= 1.26)) (gaps !times)
 
-(* Timer-wheel edge cases: the scaled-int clock and hierarchical wheel have
-   sharp corners (same-tick rescheduling, the overflow list past the wheel
-   horizon, handle recycling, tick quantization) that a float heap never
-   had.  Each gets pinned against both queue implementations where it
-   matters. *)
+(* Scaled-int clock edge cases: same-tick rescheduling, far-future ticks,
+   handle recycling and tick quantization.  Each is pinned against both
+   queue implementations where it matters. *)
 
 let zero_delay_self_reschedule () =
-  let e = Engine.create () in
-  let count = ref 0 in
-  let other = ref 0 in
-  let rec tick () =
-    incr count;
-    if !count < 5 then ignore (Engine.schedule e ~delay:0.0 tick)
-  in
-  ignore (Engine.schedule e ~delay:1.0 tick);
-  (* A same-tick neighbour scheduled before the chain starts: FIFO puts it
-     between the first firing and the zero-delay follow-ups. *)
-  ignore (Engine.schedule e ~delay:1.0 (fun () -> other := !count));
-  Engine.run e;
-  check_int "chain ran to completion" 5 !count;
-  check_int "neighbour fired after the first link only" 1 !other;
-  check_float "clock never advanced past the tick" 1.0 (Engine.now e)
+  List.iter
+    (fun impl ->
+      let e = Engine.create ~impl () in
+      let count = ref 0 in
+      let other = ref 0 in
+      let rec tick () =
+        incr count;
+        if !count < 5 then ignore (Engine.schedule e ~delay:0.0 tick)
+      in
+      ignore (Engine.schedule e ~delay:1.0 tick);
+      (* A same-tick neighbour scheduled before the chain starts: FIFO puts
+         it between the first firing and the zero-delay follow-ups. *)
+      ignore (Engine.schedule e ~delay:1.0 (fun () -> other := !count));
+      Engine.run e;
+      check_int "chain ran to completion" 5 !count;
+      check_int "neighbour fired after the first link only" 1 !other;
+      check_float "clock never advanced past the tick" 1.0 (Engine.now e))
+    impls
 
-let far_future_overflow_cascade () =
-  (* The wheel horizon is 2^35 ticks (~3436 s): events beyond it park in
-     the overflow list and must cascade back in, in order, mixed with near
-     events scheduled later. *)
+let events_past_3436_s () =
+  (* Events past 2^35 ticks (~3436 s) fire in order, mixed with near
+     events scheduled later.  The case keeps the name it had when the
+     production queue was a timer wheel whose horizon ended there and
+     far events went through an overflow list. *)
   List.iter
     (fun impl ->
       let e = Engine.create ~impl () in
@@ -136,23 +147,26 @@ let far_future_overflow_cascade () =
              (* scheduled mid-run, still lands between Near and Far1 *)
              at 10.0 `Mid));
       Engine.run e;
-      check "overflow ordering" true (List.rev !log = [ `Near; `Mid; `Far1; `Far2; `Far3 ]);
+      check "far-future ordering" true (List.rev !log = [ `Near; `Mid; `Far1; `Far2; `Far3 ]);
       check_float "clock at last event" 9000.0 (Engine.now e))
-    [ Engine.Wheel; Engine.Reference ]
+    impls
 
 let cancel_of_recycled_handle_is_noop () =
-  let e = Engine.create () in
-  let fired = ref [] in
-  let h1 = Engine.schedule e ~delay:1.0 (fun () -> fired := 1 :: !fired) in
-  Engine.run e;
-  (* h1's pool slot is free now; the next schedule recycles it with a new
-     generation stamp. *)
-  ignore (Engine.schedule e ~delay:1.0 (fun () -> fired := 2 :: !fired));
-  Engine.cancel e h1;
-  Engine.cancel e h1;
-  Engine.run e;
-  Alcotest.(check (list int)) "stale cancel left the recycled event alone" [ 1; 2 ]
-    (List.rev !fired)
+  List.iter
+    (fun impl ->
+      let e = Engine.create ~impl () in
+      let fired = ref [] in
+      let h1 = Engine.schedule e ~delay:1.0 (fun () -> fired := 1 :: !fired) in
+      Engine.run e;
+      (* h1's pool slot is free now; the next schedule recycles it with a
+         new generation stamp. *)
+      ignore (Engine.schedule e ~delay:1.0 (fun () -> fired := 2 :: !fired));
+      Engine.cancel e h1;
+      Engine.cancel e h1;
+      Engine.run e;
+      Alcotest.(check (list int)) "stale cancel left the recycled event alone" [ 1; 2 ]
+        (List.rev !fired))
+    impls
 
 let tick_rounding_at_bucket_boundaries () =
   check_float "tick roundtrip" 1.0 (Engine.time_of_tick (Engine.tick_of_time 1.0));
@@ -167,8 +181,7 @@ let tick_rounding_at_bucket_boundaries () =
   Engine.run e;
   check "sub-tick neighbours collapse and stay FIFO" true
     (List.rev !log = [ `Same1; `Same2; `Later ]);
-  (* Wheel-slot boundaries (multiples of 32 ticks from the hand) must not
-     reorder: exercise a window straddling several level-0 slot edges. *)
+  (* A run of consecutive ticks, scheduled in order, fires in order. *)
   let e = Engine.create () in
   let order = ref [] in
   for i = 0 to 99 do
@@ -197,7 +210,7 @@ let queue_depth_counts_live_only () =
     (Metrics.Counter.value (Metrics.counter m "engine.events_cancelled"));
   check_int "fired excludes the cancelled one" 2 (Engine.events_fired e)
 
-let wheel_matches_reference_engine () =
+let heap_matches_reference_engine () =
   (* Identical pseudo-random workloads on both queue implementations must
      produce identical firing sequences (fingerprint covers tick + code). *)
   let run impl =
@@ -223,13 +236,91 @@ let wheel_matches_reference_engine () =
     Engine.run e;
     (Engine.fingerprint e, Engine.events_fired e, List.rev !log)
   in
-  let fw, nw, lw = run Engine.Wheel in
+  let fw, nw, lw = run Engine.Heap in
   let fr, nr, lr = run Engine.Reference in
   check_int "same event count" nr nw;
   check "same fingerprint" true (fw = fr);
   check "same firing log" true (lw = lr)
 
+(* The simulator's own traffic shape: 330 pending events, each pop
+   replaced by an add one link delay (14.5 ms to 1.06 s) later, with cancels
+   of pending events mixed in.  10^5 interleaved operations drive both
+   queues from one random script; every fired (tick, payload) must
+   match.  Delays are drawn from a coarse grid so that equal ticks, and
+   with them the FIFO tie-break, come up often. *)
+let hold_model_differential () =
+  let run impl =
+    let rng = Smrp_rng.Rng.create 20260417 in
+    let e = Engine.create ~flight:Smrp_obs.Flight.null ~impl () in
+    let fired = Buffer.create (1 lsl 16) in
+    let code =
+      Engine.register e (fun a b ->
+          Buffer.add_string fired (string_of_int (Engine.tick_of_time (Engine.now e)));
+          Buffer.add_char fired ':';
+          Buffer.add_string fired (string_of_int a);
+          Buffer.add_char fired ':';
+          Buffer.add_string fired (string_of_int b);
+          Buffer.add_char fired '\n')
+    in
+    (* Cancellable closure events keep handles in a small ring; a cancel
+       picks a random one (possibly already fired: a no-op). *)
+    let handles = Array.make 64 (Engine.schedule e ~delay:0.0 ignore) in
+    let delay () = 0.0145 +. (float_of_int (Smrp_rng.Rng.int rng 512) *. 0.002) in
+    let next = ref 0 in
+    for _ = 1 to 330 do
+      incr next;
+      Engine.schedule_code e ~delay:(delay ()) ~code ~a:!next ~b:0
+    done;
+    for op = 1 to 100_000 do
+      match Smrp_rng.Rng.int rng 8 with
+      | 0 -> Engine.cancel e handles.(Smrp_rng.Rng.int rng (Array.length handles))
+      | 1 ->
+          ignore (Engine.step e : bool);
+          let slot = Smrp_rng.Rng.int rng (Array.length handles) in
+          handles.(slot) <-
+            Engine.schedule e ~delay:(delay ()) (fun () ->
+                Buffer.add_string fired (Printf.sprintf "closure %d\n" op))
+      | _ ->
+          ignore (Engine.step e : bool);
+          incr next;
+          Engine.schedule_code e ~delay:(delay ()) ~code ~a:!next ~b:op
+    done;
+    Engine.run e;
+    (Engine.fingerprint e, Engine.events_fired e, Buffer.contents fired)
+  in
+  let fh, nh, lh = run Engine.Heap in
+  let fr, nr, lr = run Engine.Reference in
+  check "events fired" true (nh > 80_000);
+  check_int "same event count" nr nh;
+  check_int "same fingerprint" fr fh;
+  check "same firing log" true (String.equal lh lr)
+
 (* -- Net --------------------------------------------------------------- *)
+
+(* The frame path is allocation-free: a send resolves its link from the CSR
+   adjacency and parks the frame in a pooled slot, and the delivery pops it
+   through an int-coded handler.  The one boxed value is the engine clock
+   advanced by the delivery (a float in a mutable record field: 2 words). *)
+let send_and_delivery_allocate_only_the_clock () =
+  let engine = Engine.create () in
+  let g = Fixtures.line 3 in
+  let n = Net.create engine g ~handler:(fun _ ~at:_ ~from:_ ~eid:_ _ -> ()) in
+  let cycle () =
+    ignore (Net.send n ~src:1 ~dst:2 17 : bool);
+    ignore (Engine.step engine : bool)
+  in
+  (* Warm up: the first send sizes the frame pool's message column. *)
+  for _ = 1 to 10 do
+    cycle ()
+  done;
+  let rounds = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    cycle ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int rounds in
+  if words > 2.0 then Alcotest.failf "send + delivery allocated %.2f words, expected <= 2" words;
+  check_int "all delivered" (rounds + 10) (Net.frames_delivered n)
 
 let frames_arrive_after_link_delay () =
   let engine = Engine.create () in
@@ -520,12 +611,13 @@ let () =
           Alcotest.test_case "rejects past/negative" `Quick rejects_past_and_negative;
           Alcotest.test_case "every with jitter" `Quick every_with_jitter;
           Alcotest.test_case "zero-delay self-reschedule" `Quick zero_delay_self_reschedule;
-          Alcotest.test_case "far-future overflow cascade" `Quick far_future_overflow_cascade;
+          Alcotest.test_case "far-future overflow cascade" `Quick events_past_3436_s;
           Alcotest.test_case "recycled handle cancel" `Quick cancel_of_recycled_handle_is_noop;
           Alcotest.test_case "tick rounding at bucket boundaries" `Quick
             tick_rounding_at_bucket_boundaries;
           Alcotest.test_case "queue depth counts live only" `Quick queue_depth_counts_live_only;
-          Alcotest.test_case "wheel matches reference" `Quick wheel_matches_reference_engine;
+          Alcotest.test_case "heap matches reference" `Quick heap_matches_reference_engine;
+          Alcotest.test_case "hold-model differential" `Quick hold_model_differential;
         ] );
       ( "net",
         [
@@ -535,6 +627,8 @@ let () =
           Alcotest.test_case "failure drops counted separately" `Quick failure_drops_counted_separately;
           Alcotest.test_case "failed node blocks" `Quick failed_node_blocks;
           Alcotest.test_case "non-adjacent rejected" `Quick non_adjacent_send_rejected;
+          Alcotest.test_case "send and delivery allocate only the clock" `Quick
+            send_and_delivery_allocate_only_the_clock;
         ] );
       ( "protocol",
         [
